@@ -188,14 +188,12 @@ def _write_run_artifacts(manifest: RunManifest, result: RiseResult, scores: dict
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("RISE_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        return min(8, os.cpu_count() or 1)
-    return value
+    raw = os.environ.get("RISE_THREADS", "").strip() or "0"
+    if not raw.isdecimal():
+        raise click.ClickException(
+            f"RISE_THREADS must be a non-negative integer (0 for automatic), got {raw!r}"
+        )
+    return int(raw) or min(8, os.cpu_count() or 1)
 
 
 def _common_run_options(fn):
@@ -314,17 +312,7 @@ def run(**params):
 
 
 def _sweep_cell(manifest: RunManifest, inputs: LoadedInputs, axis: str, value, repeat: int):
-    cell_seed = manifest.seed + repeat
-    overrides = {"seed": cell_seed, "out_dir": manifest.out_dir}
-    if axis == "beta":
-        overrides["beta"] = float(value)
-    elif axis == "anchors":
-        overrides["anchors"] = int(value)
-    elif axis == "embed_dim":
-        overrides["embed_dim"] = int(value)
-    elif axis == "missing_rate":
-        overrides["missing_rate"] = float(value)
-    cell_manifest = replace(manifest, **overrides)
+    cell_manifest = replace(manifest, seed=manifest.seed + repeat, **{axis: value})
     start = time.perf_counter()
     result, scores = run_loaded(cell_manifest, inputs)
     seconds = time.perf_counter() - start

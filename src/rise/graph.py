@@ -11,7 +11,6 @@ square root of its total incoming weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -107,10 +106,3 @@ def normalize(graph: BipartiteGraph) -> BipartiteGraph:
         normalized=True,
     )
 
-
-def write_triplets(graph: BipartiteGraph, path: str | Path) -> None:
-    """Debug dump as CSV rows of (sample, anchor, weight)."""
-    with Path(path).open("w") as fh:
-        for row in range(graph.rows):
-            for col, w in zip(graph.indices[row], graph.weights[row]):
-                fh.write(f"{row},{col},{float(w)!r}\n")

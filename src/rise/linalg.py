@@ -1,9 +1,8 @@
 """Dense symmetric eigensolver and Gram-route truncated left SVD.
 
-``sym_eigh`` runs cyclic Jacobi sweeps. Pairs are visited in a fixed
-round-robin schedule whose rounds consist of disjoint index pairs, so all
-rotations of a round commute and can be applied with vectorized array
-updates; the result is the same as rotating the pairs one by one.
+``sym_eigh`` wraps LAPACK's symmetric eigensolver (``np.linalg.eigh``):
+it validates and symmetrizes the input and returns the eigenpairs in
+descending order of eigenvalue.
 
 ``trunc_svd_left`` never touches the n-by-n product of a tall matrix: it
 eigendecomposes the small d-by-d Gram matrix and maps eigenvectors back
@@ -16,19 +15,12 @@ seeded random orthonormal basis, and every column is sign-canonicalized
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .seeding import make_rng
 
-OFF_DIAG_TOL = 1e-12   # relative to the Frobenius norm
-SWEEP_CAP = 100
 RANK_TOL = 1e-10       # relative to the largest singular value
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweep cap reached with off-diagonal mass above tolerance."""
 
 
 @dataclass
@@ -43,30 +35,12 @@ class TruncatedSVD:
     singular_values: np.ndarray   # (k,) descending, non-negative
 
 
-@lru_cache(maxsize=None)
-def _round_robin_rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Tournament schedule: rounds of disjoint pairs covering all C(d,2) pairs."""
-    padded = d if d % 2 == 0 else d + 1
-    players = list(range(padded))
-    rounds = []
-    for _ in range(padded - 1):
-        ps, qs = [], []
-        for i in range(padded // 2):
-            a, b = players[i], players[padded - 1 - i]
-            if a < d and b < d:  # skip the padding slot for odd d
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
-
-
 def sym_eigh(matrix: np.ndarray) -> SymEig:
     """Eigenpairs of a symmetric matrix, sorted by descending eigenvalue.
 
     The input is symmetrized internally; asymmetry beyond a small relative
-    tolerance is rejected. Sweeps stop once every off-diagonal magnitude
-    falls below OFF_DIAG_TOL times the Frobenius norm.
+    tolerance is rejected. An all-zero matrix gets the identity as its
+    eigenvectors.
     """
     S = np.asarray(matrix, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -79,49 +53,11 @@ def sym_eigh(matrix: np.ndarray) -> SymEig:
         raise ValueError("matrix is not symmetric")
 
     A = (S + S.T) / 2.0
-    if d == 1:
-        return SymEig(values=A[0].copy(), vectors=np.ones((1, 1)))
-
-    V = np.eye(d)
-    tol = OFF_DIAG_TOL * float(np.linalg.norm(A))
-    if tol == 0.0:
-        return SymEig(values=np.zeros(d), vectors=V)
-
-    iu = np.triu_indices(d, 1)
-    converged = False
-    for _ in range(SWEEP_CAP):
-        if float(np.abs(A[iu]).max()) <= tol:
-            converged = True
-            break
-        for P, Q in _round_robin_rounds(d):
-            apq = A[P, Q]
-            active = np.abs(apq) > tol
-            if not active.any():
-                continue
-            p, q = P[active], Q[active]
-            apq = apq[active]
-            tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-            t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            # disjoint plane rotations: columns, then rows
-            colP, colQ = A[:, p], A[:, q]
-            A[:, p] = colP * c - colQ * s
-            A[:, q] = colP * s + colQ * c
-            rowP, rowQ = A[p, :], A[q, :]
-            A[p, :] = c[:, None] * rowP - s[:, None] * rowQ
-            A[q, :] = s[:, None] * rowP + c[:, None] * rowQ
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            vP, vQ = V[:, p], V[:, q]
-            V[:, p] = vP * c - vQ * s
-            V[:, q] = vP * s + vQ * c
-    if not converged and float(np.abs(A[iu]).max()) > tol:
-        raise ConvergenceError(f"Jacobi did not converge within {SWEEP_CAP} sweeps (d={d})")
-
-    values = np.diag(A).copy()
-    order = np.argsort(-values, kind="stable")
-    return SymEig(values=values[order], vectors=V[:, order])
+    if not A.any():
+        # eigh's ascending identity, reversed, would be anti-diagonal
+        return SymEig(values=np.zeros(d), vectors=np.eye(d))
+    values, vectors = np.linalg.eigh(A)
+    return SymEig(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
 
 def _fill_orthonormal_column(U: np.ndarray, col: int, filled: np.ndarray, rng) -> None:

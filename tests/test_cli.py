@@ -281,6 +281,24 @@ def test_ablate_reproducible_modulo_seconds(dataset_dir, tmp_path, monkeypatch):
     assert first == second
 
 
+@pytest.mark.parametrize("threads", ["abc", "-1"])
+def test_malformed_rise_threads_is_rejected(dataset_dir, tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("RISE_THREADS", threads)
+    result = CliRunner().invoke(
+        main,
+        [
+            "sweep",
+            "--view", str(dataset_dir / "view_0.rmat"),
+            "--labels", str(dataset_dir / "labels.txt"),
+            "--anchors", "9", "--embed-dim", "3", "--clusters", "3",
+            "--out", str(tmp_path), "--axis", "beta", "--values", "1", "--repeats", "1",
+        ],
+    )
+    assert result.exit_code != 0
+    assert "RISE_THREADS" in result.output
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_eval_subcommand(tmp_path):
     pred = tmp_path / "pred.txt"
     truth = tmp_path / "truth.txt"

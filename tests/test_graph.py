@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_normalized_graph
-from rise.graph import build_bipartite, normalize, write_triplets
+from rise.graph import build_bipartite, normalize
 
 
 def test_hand_evaluated_weights():
@@ -106,13 +106,3 @@ def test_argument_errors():
     with pytest.raises(ValueError):
         build_bipartite(np.array([[np.nan, 0.0]]), anchors, knn=1)
 
-
-def test_triplet_dump_parses(tmp_path):
-    rng = np.random.default_rng(3)
-    g = build_bipartite(rng.standard_normal((5, 2)), rng.standard_normal((4, 2)), knn=2)
-    path = tmp_path / "graph.csv"
-    write_triplets(g, path)
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    assert len(rows) == 5 * 2
-    total = sum(float(w) for _, _, w in rows)
-    assert np.isclose(total, 5.0)

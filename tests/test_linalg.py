@@ -1,23 +1,7 @@
 import numpy as np
 import pytest
 
-from rise.linalg import (
-    ConvergenceError,
-    _round_robin_rounds,
-    sym_eigh,
-    trunc_svd_left,
-)
-
-
-def test_round_robin_covers_all_pairs_once():
-    for d in (2, 3, 4, 7, 12, 25):
-        seen = set()
-        for P, Q in _round_robin_rounds(d):
-            assert len(set(P) | set(Q)) == len(P) + len(Q)  # disjoint within a round
-            for p, q in zip(P, Q):
-                assert p < q
-                seen.add((int(p), int(q)))
-        assert len(seen) == d * (d - 1) // 2
+from rise.linalg import sym_eigh, trunc_svd_left
 
 
 def test_diagonal_matrix():
@@ -171,5 +155,5 @@ def test_concatenated_block_equivalence_small():
         u = trunc_svd_left(z_cat, k).left_vectors
         achieved = float(np.linalg.norm(z_cat.T @ u) ** 2)
         dense = sum(b @ b.T for b in blocks)
-        expected = float(sym_eigh(dense).values[:k].sum())
+        expected = float(np.linalg.eigvalsh(dense)[::-1][:k].sum())
         assert abs(achieved - expected) < 1e-8
