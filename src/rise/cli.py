@@ -326,7 +326,7 @@ def _sweep_cell(manifest: RunManifest, inputs: LoadedInputs, axis: str, value, r
 @_common_run_options
 @click.option("--axis", type=click.Choice(SWEEP_AXES), required=True, help="Swept hyperparameter.")
 @click.option("--values", type=str, required=True, help="Comma-separated axis values (e.g. 0.01,0.1,1,10,20,50,100,500,1000 for beta).")
-@click.option("--repeats", type=int, default=10, show_default=True, help="Seeded repeats per value.")
+@click.option("--repeats", type=click.IntRange(min=1), default=10, show_default=True, help="Seeded repeats per value.")
 def sweep(axis, values, repeats, **params):
     """Sweep one hyperparameter; one CSV row per (value, repeat)."""
     manifest = _manifest_from_params(**params)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import squared_distances
+
 _TIE_EPS = 1e-12
 
 
@@ -59,12 +61,7 @@ def build_bipartite(samples: np.ndarray, anchors: np.ndarray, knn: int) -> Bipar
     if not 1 <= knn <= m - 1:
         raise ValueError(f"need 1 <= knn <= n_anchors-1, got knn={knn}, n_anchors={m}")
 
-    d2 = (
-        (samples * samples).sum(axis=1)[:, None]
-        - 2.0 * samples @ anchors.T
-        + (anchors * anchors).sum(axis=1)[None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
+    d2 = squared_distances(samples, (samples * samples).sum(axis=1), anchors)
 
     nearest = np.argpartition(d2, knn, axis=1)[:, : knn + 1]
     near_d = np.take_along_axis(d2, nearest, axis=1)

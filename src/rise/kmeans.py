@@ -1,10 +1,17 @@
-"""Lloyd's k-means with seeded k-means++ initialization.
+"""Lloyd's k-means with seeded greedy k-means++ initialization.
 
 Used to pick per-view anchor points and to turn the final consensus
 embedding into discrete cluster labels. Distance ties break toward the
 lowest center index, and empty clusters are repaired by reseeding them
 with the point farthest from its current center, so results are
 deterministic for a fixed seed.
+
+The row norms ||x||^2 are computed once per ``kmeans`` call and shared by
+every restart, the seeding and every Lloyd step. All point-to-center
+distances come from the GEMM-form kernel ``linalg.squared_distances``
+(||x||^2 - 2 x.c + ||c||^2, updated in place). The seeding scores all
+candidates of a step with one distance call, and each Lloyd step sums the
+members of every center with one ``bincount`` over all coordinates.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import squared_distances
 from .seeding import make_rng
 
 
@@ -25,26 +33,16 @@ class KMeansResult:
     inertia_history: list[float] = field(default_factory=list)
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _kmeanspp(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp(points: np.ndarray, sq_norms: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy k-means++: sample several candidates per step, keep the one
-    that lowers the potential most."""
+    that lowers the potential most (the first such candidate on ties)."""
     n = points.shape[0]
     centers = np.empty((n_clusters, points.shape[1]), dtype=np.float64)
     centers[0] = points[int(rng.integers(n))]
     if n_clusters == 1:
         return centers
     trials = 2 + int(np.log(n_clusters))
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = squared_distances(points, sq_norms, centers[:1])[:, 0]
     for j in range(1, n_clusters):
         total = float(d2.sum())
         if total > 0.0:
@@ -52,14 +50,11 @@ def _kmeanspp(points: np.ndarray, n_clusters: int, rng: np.random.Generator) -> 
             cand = np.minimum(np.searchsorted(cum, rng.random(trials) * total), n - 1)
         else:
             cand = rng.integers(n, size=trials)
-        best_idx, best_d2, best_pot = -1, None, np.inf
-        for idx in cand:
-            trial_d2 = np.minimum(d2, ((points - points[int(idx)]) ** 2).sum(axis=1))
-            pot = float(trial_d2.sum())
-            if pot < best_pot:
-                best_idx, best_d2, best_pot = int(idx), trial_d2, pot
-        centers[j] = points[best_idx]
-        d2 = best_d2
+        trial_d2 = squared_distances(points, sq_norms, points[cand])
+        np.minimum(trial_d2, d2[:, None], out=trial_d2)
+        best = int(trial_d2.sum(axis=0).argmin())
+        centers[j] = points[cand[best]]
+        d2 = trial_d2[:, best].copy()
     return centers
 
 
@@ -112,10 +107,11 @@ def kmeans(
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
 
+    sq_norms = (points * points).sum(axis=1)
     rng = make_rng(seed)
     best: KMeansResult | None = None
     for _ in range(n_restarts):
-        result = _lloyd_once(points, n_clusters, rng, max_iters, tol)
+        result = _lloyd_once(points, sq_norms, n_clusters, rng, max_iters, tol)
         if best is None or result.inertia < best.inertia:
             best = result
         if best.inertia == 0.0:
@@ -123,20 +119,22 @@ def kmeans(
     return best
 
 
-def _lloyd_once(points, n_clusters, rng, max_iters, tol) -> KMeansResult:
-    n = points.shape[0]
-    centers = _kmeanspp(points, n_clusters, rng)
+def _lloyd_once(points, sq_norms, n_clusters, rng, max_iters, tol) -> KMeansResult:
+    n, dim = points.shape
+    centers = _kmeanspp(points, sq_norms, n_clusters, rng)
+    coords = np.arange(dim)
     history: list[float] = []
     labels = None
     iterations = 0
     for it in range(max_iters):
-        d2 = _squared_distances(points, centers)
+        d2 = squared_distances(points, sq_norms, centers)
         labels = d2.argmin(axis=1)
         _repair_empty(points, labels, centers, d2)
         counts = np.bincount(labels, minlength=n_clusters)
-        new_centers = np.column_stack(
-            [np.bincount(labels, weights=points[:, j], minlength=n_clusters) for j in range(points.shape[1])]
-        ) / counts[:, None]
+        # one bin per (cluster, coordinate); each bin adds its rows in order
+        bins = (labels[:, None] * dim + coords).ravel()
+        sums = np.bincount(bins, weights=points.ravel(), minlength=n_clusters * dim)
+        new_centers = sums.reshape(n_clusters, dim) / counts[:, None]
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         history.append(float(((points - centers[labels]) ** 2).sum()))
@@ -145,7 +143,7 @@ def _lloyd_once(points, n_clusters, rng, max_iters, tol) -> KMeansResult:
             break
 
     if labels is None:  # max_iters == 0: assign once against the seeding
-        d2 = _squared_distances(points, centers)
+        d2 = squared_distances(points, sq_norms, centers)
         labels = d2.argmin(axis=1)
         inertia = float(d2[np.arange(n), labels].sum())
     else:

@@ -1,4 +1,5 @@
-"""Dense symmetric eigensolver and Gram-route truncated left SVD.
+"""Dense symmetric eigensolver, Gram-route truncated left SVD and the
+GEMM-form squared distance kernel.
 
 ``sym_eigh`` wraps LAPACK's symmetric eigensolver (``np.linalg.eigh``):
 it validates and symmetrizes the input and returns the eigenpairs in
@@ -10,6 +11,11 @@ through the data (U = Z v / sigma), so cost stays linear in the number of
 rows. Columns belonging to near-zero singular values are completed with a
 seeded random orthonormal basis, and every column is sign-canonicalized
 (first non-negligible entry non-negative) for reproducibility.
+
+``squared_distances`` is the one pairwise squared-distance kernel that
+k-means and the anchor graphs share: ||x||^2 - 2 x.c + ||c||^2 from one
+matrix product, with the row norms of ``points`` passed in so that callers
+that reuse them compute them once.
 """
 
 from __future__ import annotations
@@ -33,6 +39,23 @@ class SymEig:
 class TruncatedSVD:
     left_vectors: np.ndarray      # (n, k), orthonormal columns
     singular_values: np.ndarray   # (k,) descending, non-negative
+
+
+def squared_distances(points: np.ndarray, sq_norms: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances from each row of ``points`` to
+    each row of ``others``, clipped at zero.
+
+    ``sq_norms`` must be ``(points * points).sum(axis=1)``. The updates run
+    in place on the product, so the only n-by-m array is the result; the
+    values equal ``sq_norms[:, None] - 2 * points @ others.T + ||others||^2``
+    bit for bit.
+    """
+    d2 = points @ others.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += (others * others).sum(axis=1)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 def sym_eigh(matrix: np.ndarray) -> SymEig:

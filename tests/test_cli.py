@@ -281,6 +281,23 @@ def test_ablate_reproducible_modulo_seconds(dataset_dir, tmp_path, monkeypatch):
     assert first == second
 
 
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_sweep_rejects_non_positive_repeats(dataset_dir, tmp_path, repeats):
+    result = CliRunner().invoke(
+        main,
+        [
+            "sweep",
+            "--view", str(dataset_dir / "view_0.rmat"),
+            "--labels", str(dataset_dir / "labels.txt"),
+            "--anchors", "9", "--embed-dim", "3", "--clusters", "3",
+            "--out", str(tmp_path), "--axis", "beta", "--values", "1", "--repeats", repeats,
+        ],
+    )
+    assert result.exit_code != 0
+    assert "--repeats" in result.output
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "-1"])
 def test_malformed_rise_threads_is_rejected(dataset_dir, tmp_path, monkeypatch, threads):
     monkeypatch.setenv("RISE_THREADS", threads)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rise.datagen import BlobConfig, generate_blobs
-from rise.kmeans import _kmeanspp, _squared_distances, kmeans, select_anchors
+from rise.kmeans import _kmeanspp, _repair_empty, kmeans, select_anchors
 from rise.seeding import make_rng
 
 
@@ -62,10 +62,101 @@ def test_result_beats_initialization():
     for trial in range(5):
         points = rng.standard_normal((50, 3))
         res = kmeans(points, 4, seed=trial)
-        init_centers = _kmeanspp(points, 4, make_rng(trial))
-        d2 = _squared_distances(points, init_centers)
+        init_centers = _kmeanspp(points, (points * points).sum(axis=1), 4, make_rng(trial))
+        d2 = ((points[:, None] - init_centers[None]) ** 2).sum(2)
         init_inertia = float(d2.min(axis=1).sum())
         assert res.inertia <= init_inertia + 1e-9
+
+
+def _reference_kmeans(points, n_clusters, seed, max_iters=100, tol=1e-6, n_restarts=10):
+    """k-means without the shared kernels: one distance pass per k-means++
+    candidate and one ``bincount`` per coordinate for the centers."""
+
+    def dist(centers):
+        d2 = (
+            (points * points).sum(axis=1)[:, None]
+            - 2.0 * points @ centers.T
+            + (centers * centers).sum(axis=1)[None, :]
+        )
+        return np.maximum(d2, 0.0)
+
+    def seeding(rng):
+        n = points.shape[0]
+        centers = np.empty((n_clusters, points.shape[1]))
+        centers[0] = points[int(rng.integers(n))]
+        if n_clusters == 1:
+            return centers
+        trials = 2 + int(np.log(n_clusters))
+        d2 = ((points - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, n_clusters):
+            total = float(d2.sum())
+            if total > 0.0:
+                cand = np.minimum(np.searchsorted(np.cumsum(d2), rng.random(trials) * total), n - 1)
+            else:
+                cand = rng.integers(n, size=trials)
+            best_idx, best_d2, best_pot = -1, None, np.inf
+            for idx in cand:
+                trial_d2 = np.minimum(d2, ((points - points[int(idx)]) ** 2).sum(axis=1))
+                pot = float(trial_d2.sum())
+                if pot < best_pot:
+                    best_idx, best_d2, best_pot = int(idx), trial_d2, pot
+            centers[j] = points[best_idx]
+            d2 = best_d2
+        return centers
+
+    rng = make_rng(seed)
+    best = None
+    for _ in range(n_restarts):
+        centers = seeding(rng)
+        for _ in range(max_iters):
+            d2 = dist(centers)
+            labels = d2.argmin(axis=1)
+            _repair_empty(points, labels, centers, d2)
+            counts = np.bincount(labels, minlength=n_clusters)
+            new_centers = np.column_stack(
+                [np.bincount(labels, weights=points[:, j], minlength=n_clusters) for j in range(points.shape[1])]
+            ) / counts[:, None]
+            shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+            centers = new_centers
+            inertia = float(((points - centers[labels]) ** 2).sum())
+            if shift < tol:
+                break
+        if best is None or inertia < best[0]:
+            best = (inertia, labels, centers)
+        if best[0] == 0.0:
+            break
+    return best[1], best[2]
+
+
+def _equivalence_inputs():
+    rng = np.random.default_rng(11)
+    blobs = np.concatenate([rng.normal(c, 0.3, (40, 5)) for c in rng.normal(0.0, 5.0, (6, 5))])
+    near = np.repeat(rng.standard_normal((8, 3)), 5, axis=0)
+    near += 1e-9 * rng.standard_normal(near.shape)
+    # k stays at most the number of distinct (or near-distinct) points: splitting
+    # a group of 1e-9 near-duplicates, or choosing among exact duplicates once
+    # every distinct point is a center, rests on distances below the rounding
+    # error of the GEMM form, where the two seedings may pick different rows
+    return {
+        "blobs": (blobs, 6),
+        "duplicates": (np.repeat(rng.standard_normal((7, 4)), 6, axis=0), 5),
+        "constant": (np.full((30, 3), 2.5), 4),
+        "near-duplicates": (near, 8),
+        "offset": (blobs + 1e4, 6),
+    }
+
+
+EQUIVALENCE_INPUTS = _equivalence_inputs()
+
+
+@pytest.mark.parametrize("name", list(EQUIVALENCE_INPUTS))
+def test_matches_reference_kmeans(name):
+    points, n_clusters = EQUIVALENCE_INPUTS[name]
+    for seed in range(4):
+        res = kmeans(points, n_clusters, seed=seed)
+        labels, centers = _reference_kmeans(points, n_clusters, seed)
+        assert np.array_equal(res.assignments, labels), (name, seed)
+        assert np.allclose(res.centers, centers, rtol=0.0, atol=1e-12), (name, seed)
 
 
 def test_deterministic_per_seed():
