@@ -1,9 +1,11 @@
 """Command-line surface: data synthesis, masking, runs, sweeps, ablations.
 
 Every run is reproducible from its flags plus ``--seed``; only timing
-fields differ between repeated runs. Sweep and ablation cells may execute
-concurrently; the ``RISE_THREADS`` environment variable caps the worker
-count (0 or unset picks an automatic value).
+fields differ between repeated runs. Sweeps and ablations share one grid
+runner: it loads the inputs once, may execute cells concurrently, and turns
+a failing cell into an ``error:`` row of the CSV instead of aborting the
+grid. The ``RISE_THREADS`` environment variable caps the worker count (0 or
+unset picks an automatic value).
 """
 
 from __future__ import annotations
@@ -80,20 +82,11 @@ def load_inputs(manifest: RunManifest) -> LoadedInputs:
 
 
 def _assemble_dataset(manifest: RunManifest, inputs: LoadedInputs) -> MultiViewDataset:
-    views = inputs.views
-    labels = inputs.labels
-    mask = inputs.mask
-
-    if mask is not None:
-        if all(v.shape[0] == mask.n for v in views):
-            # complete view files: drop the masked-out rows
-            complete = MultiViewDataset(
-                views, [np.arange(mask.n, dtype=np.int64) for _ in views], mask.n, labels=labels
-            )
-            return apply_mask(complete, mask)
+    views, labels, mask = inputs.views, inputs.labels, inputs.mask
+    if mask is not None and not all(v.shape[0] == mask.n for v in views):
+        # already-incomplete view files: rows follow the mask's index order
         index_vectors = mask_to_index_vectors(mask)
         if all(v.shape[0] == h.shape[0] for v, h in zip(views, index_vectors)):
-            # already-incomplete view files: rows follow the mask's index order
             return MultiViewDataset(views, index_vectors, mask.n, labels=labels)
         raise ValueError("view row counts match neither the mask height nor its column sums")
 
@@ -101,15 +94,21 @@ def _assemble_dataset(manifest: RunManifest, inputs: LoadedInputs) -> MultiViewD
     if len(heights) != 1:
         raise ValueError("views have differing row counts and no mask was given")
     n = heights.pop()
-    if manifest.missing_rate is not None and manifest.missing_rate > 0:
-        generated = generate_mask(n, len(views), manifest.missing_rate, manifest.seed)
-        complete = MultiViewDataset(
-            views, [np.arange(n, dtype=np.int64) for _ in views], n, labels=labels
-        )
-        return apply_mask(complete, generated)
-    return MultiViewDataset(
+    complete = MultiViewDataset(
         views, [np.arange(n, dtype=np.int64) for _ in views], n, labels=labels
     )
+    if mask is None and manifest.missing_rate is not None and manifest.missing_rate > 0:
+        mask = generate_mask(n, len(views), manifest.missing_rate, manifest.seed)
+    # complete view files: the given or generated mask drops the missing rows
+    return complete if mask is None else apply_mask(complete, mask)
+
+
+def _score(pred: np.ndarray, truth: np.ndarray) -> dict:
+    return {
+        "acc": metrics_mod.clustering_accuracy(pred, truth),
+        "nmi": metrics_mod.nmi(pred, truth),
+        "purity": metrics_mod.purity(pred, truth),
+    }
 
 
 def run_loaded(manifest: RunManifest, inputs: LoadedInputs) -> tuple[RiseResult, dict | None]:
@@ -132,27 +131,22 @@ def run_loaded(manifest: RunManifest, inputs: LoadedInputs) -> tuple[RiseResult,
 
     graphs = _stage("graph", _graphs)
 
-    cfg = RiseConfig(
-        embed_dim=manifest.embed_dim,
-        beta=manifest.beta,
-        max_iters=manifest.max_iters,
-        rel_tol=manifest.rel_tol,
-        seed=manifest.seed,
-        completion=manifest.completion,
-        row_normalize=manifest.row_normalize,
-    )
-    result = _stage("optimize", run_rise, dataset, graphs, cfg, manifest.clusters)
+    def _optimize():
+        cfg = RiseConfig(
+            embed_dim=manifest.embed_dim,
+            beta=manifest.beta,
+            max_iters=manifest.max_iters,
+            rel_tol=manifest.rel_tol,
+            seed=manifest.seed,
+            completion=manifest.completion,
+            row_normalize=manifest.row_normalize,
+        )
+        return run_rise(dataset, graphs, cfg, manifest.clusters)
 
+    result = _stage("optimize", _optimize)
     scores = None
     if dataset.labels is not None:
-        scores = _stage(
-            "metrics",
-            lambda: {
-                "acc": metrics_mod.clustering_accuracy(result.labels, dataset.labels),
-                "nmi": metrics_mod.nmi(result.labels, dataset.labels),
-                "purity": metrics_mod.purity(result.labels, dataset.labels),
-            },
-        )
+        scores = _stage("metrics", _score, result.labels, dataset.labels)
     return result, scores
 
 
@@ -198,7 +192,7 @@ def _worker_count() -> int:
 
 def _common_run_options(fn):
     options = [
-        click.option("--view", "views", multiple=True, required=True, type=click.Path(), help="View matrix file (repeat per view)."),
+        click.option("--view", "view_paths", multiple=True, required=True, type=click.Path(), help="View matrix file (repeat per view)."),
         click.option("--labels", "labels_path", type=click.Path(), default=None, help="Ground-truth labels file."),
         click.option("--mask", "mask_path", type=click.Path(), default=None, help="Availability mask CSV."),
         click.option("--missing-rate", type=float, default=None, help="Generate a mask with this missing rate (needs complete views)."),
@@ -220,29 +214,10 @@ def _common_run_options(fn):
     return fn
 
 
-def _manifest_from_params(views, labels_path, mask_path, missing_rate, anchors, embed_dim,
-                          graph_knn, clusters, beta, completion, anchor_strategy, max_iters,
-                          rel_tol, seed, row_normalize, out_dir) -> RunManifest:
-    if mask_path is not None and missing_rate is not None:
+def _manifest_from_params(**params) -> RunManifest:
+    if params["mask_path"] is not None and params["missing_rate"] is not None:
         raise click.ClickException("mask: give either --mask or --missing-rate, not both")
-    return RunManifest(
-        view_paths=tuple(str(v) for v in views),
-        labels_path=str(labels_path) if labels_path else None,
-        mask_path=str(mask_path) if mask_path else None,
-        missing_rate=missing_rate,
-        anchors=anchors,
-        embed_dim=embed_dim,
-        graph_knn=graph_knn,
-        clusters=clusters,
-        beta=beta,
-        completion=completion,
-        anchor_strategy=anchor_strategy,
-        max_iters=max_iters,
-        rel_tol=rel_tol,
-        seed=seed,
-        row_normalize=row_normalize,
-        out_dir=str(out_dir),
-    )
+    return RunManifest(**params)
 
 
 @click.group()
@@ -311,15 +286,37 @@ def run(**params):
     click.echo(f"done: {summary} -> {out / 'result.json'}")
 
 
-def _sweep_cell(manifest: RunManifest, inputs: LoadedInputs, axis: str, value, repeat: int):
-    cell_manifest = replace(manifest, seed=manifest.seed + repeat, **{axis: value})
-    start = time.perf_counter()
-    result, scores = run_loaded(cell_manifest, inputs)
-    seconds = time.perf_counter() - start
-    if scores is None:
-        raise click.ClickException("metrics: sweep requires --labels")
-    return [axis, value, repeat, f"{scores['acc']:.6f}", f"{scores['nmi']:.6f}",
-            f"{scores['purity']:.6f}", result.iterations, f"{seconds:.3f}", "ok"]
+def _run_grid(manifest: RunManifest, cells: list, columns: list[str], filename: str) -> None:
+    """Run every ``(key, cell_manifest)`` cell on inputs loaded once; write one
+    CSV row per cell, in cell order. A failing cell becomes an ``error:`` row
+    and the other cells still run."""
+    if not manifest.labels_path:
+        raise click.ClickException("metrics: sweeps and ablations require --labels")
+    inputs = load_inputs(manifest)
+
+    def run_cell(cell):
+        key, cell_manifest = cell
+        start = time.perf_counter()
+        try:
+            result, scores = run_loaded(cell_manifest, inputs)
+        except Exception as exc:
+            return [*key, "", "", "", "", "", f"error: {exc}"]
+        seconds = time.perf_counter() - start
+        return [*key, f"{scores['acc']:.6f}", f"{scores['nmi']:.6f}", f"{scores['purity']:.6f}",
+                result.iterations, f"{seconds:.3f}", "ok"]
+
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        rows = list(pool.map(run_cell, cells))
+
+    out = Path(manifest.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / filename
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*columns, "acc", "nmi", "purity", "iterations", "seconds", "status"])
+        writer.writerows(rows)
+    n_ok = sum(row[-1] == "ok" for row in rows)
+    click.echo(f"wrote {len(rows)} rows ({n_ok} ok) to {path}")
 
 
 @main.command()
@@ -330,39 +327,24 @@ def _sweep_cell(manifest: RunManifest, inputs: LoadedInputs, axis: str, value, r
 def sweep(axis, values, repeats, **params):
     """Sweep one hyperparameter; one CSV row per (value, repeat)."""
     manifest = _manifest_from_params(**params)
-    if not manifest.labels_path:
-        raise click.ClickException("metrics: sweep requires --labels")
     if axis == "missing_rate" and manifest.mask_path:
         raise click.ClickException("mask: a fixed --mask conflicts with sweeping missing_rate")
     raw = [tok.strip() for tok in values.split(",") if tok.strip()]
     if not raw:
         raise click.ClickException("sweep: no axis values given")
-    parse = float if axis in ("beta", "missing_rate") else int
-    parsed = [parse(tok) for tok in raw]
 
-    inputs = load_inputs(manifest)
-    cells = [(vi, value, repeat) for vi, value in enumerate(parsed) for repeat in range(repeats)]
-
-    def run_cell(cell):
-        vi, value, repeat = cell
+    def parse(tok):
         try:
-            return (vi, repeat), _sweep_cell(manifest, inputs, axis, value, repeat)
-        except Exception as exc:
-            return (vi, repeat), [axis, value, repeat, "", "", "", "", "", f"error: {exc}"]
+            return float(tok) if axis in ("beta", "missing_rate") else int(tok)
+        except ValueError:
+            raise click.ClickException(f"sweep: {tok!r} is not a valid {axis} value") from None
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = dict(pool.map(run_cell, cells))
-
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "repeat", "acc", "nmi", "purity", "iterations", "seconds", "status"])
-        for key in sorted(rows):
-            writer.writerow(rows[key])
-    n_ok = sum(1 for r in rows.values() if r[-1] == "ok")
-    click.echo(f"wrote {len(rows)} rows ({n_ok} ok) to {path}")
+    cells = [
+        ((axis, value, repeat), replace(manifest, seed=manifest.seed + repeat, **{axis: value}))
+        for value in map(parse, raw)
+        for repeat in range(repeats)
+    ]
+    _run_grid(manifest, cells, ["axis", "value", "repeat"], "sweep.csv")
 
 
 @main.command()
@@ -370,36 +352,12 @@ def sweep(axis, values, repeats, **params):
 def ablate(**params):
     """Compare completion strategies and anchor strategies under shared seeds."""
     manifest = _manifest_from_params(**params)
-    if not manifest.labels_path:
-        raise click.ClickException("metrics: ablate requires --labels")
-    inputs = load_inputs(manifest)
-    combos = [
-        (completion, anchor_strategy)
+    cells = [
+        ((completion, strategy), replace(manifest, completion=completion, anchor_strategy=strategy))
         for completion in ("second_order", "first_order")
-        for anchor_strategy in ("kmeans", "random")
+        for strategy in ("kmeans", "random")
     ]
-
-    def run_combo(combo):
-        completion, anchor_strategy = combo
-        cell = replace(manifest, completion=completion, anchor_strategy=anchor_strategy)
-        start = time.perf_counter()
-        result, scores = run_loaded(cell, inputs)
-        seconds = time.perf_counter() - start
-        return combo, [completion, anchor_strategy, f"{scores['acc']:.6f}", f"{scores['nmi']:.6f}",
-                       f"{scores['purity']:.6f}", result.iterations, f"{seconds:.3f}"]
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = dict(pool.map(run_combo, combos))
-
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "ablation.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["completion", "anchor_strategy", "acc", "nmi", "purity", "iterations", "seconds"])
-        for combo in combos:
-            writer.writerow(rows[combo])
-    click.echo(f"wrote {len(combos)} rows to {path}")
+    _run_grid(manifest, cells, ["completion", "anchor_strategy"], "ablation.csv")
 
 
 @main.command("eval")
@@ -410,15 +368,7 @@ def eval_cmd(pred_path, truth_path, out_path):
     """Score one label file against another (ACC, NMI, Purity)."""
     pred = _stage("load", read_labels, pred_path)
     truth = _stage("load", read_labels, truth_path)
-
-    def _score():
-        return {
-            "acc": metrics_mod.clustering_accuracy(pred, truth),
-            "nmi": metrics_mod.nmi(pred, truth),
-            "purity": metrics_mod.purity(pred, truth),
-        }
-
-    scores = _stage("metrics", _score)
+    scores = _stage("metrics", _score, pred, truth)
     text = json.dumps(scores, indent=2, sort_keys=True)
     if out_path:
         Path(out_path).write_text(text + "\n")

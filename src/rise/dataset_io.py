@@ -15,6 +15,7 @@ All matrices are sample-major: row ``r`` holds the features of sample ``r``.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,13 +102,13 @@ def _read_rmat_body(fh, path: Path) -> np.ndarray:
     version, rows, cols = _HEADER_TAIL.unpack(head)
     if version != RMAT_VERSION:
         raise MatrixFormatError(f"{path}: unsupported RMAT version {version}")
-    payload = fh.read()
     expected = rows * cols * 8
-    if len(payload) != expected:
+    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    if found != expected:
         raise MatrixLengthError(
-            f"{path}: expected {expected} payload bytes for {rows}x{cols}, found {len(payload)}"
+            f"{path}: expected {expected} payload bytes for {rows}x{cols}, found {found}"
         )
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(rows, cols)
+    data = np.fromfile(fh, dtype="<f8", count=rows * cols).reshape(rows, cols)
     if data.size and not np.all(np.isfinite(data)):
         raise MatrixDataError(f"{path}: non-finite value in payload")
     return data

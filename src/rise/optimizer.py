@@ -41,11 +41,11 @@ class RiseConfig:
     def __post_init__(self) -> None:
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be non-negative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
         if self.completion not in COMPLETION_STRATEGIES:
             raise ValueError(f"completion must be one of {COMPLETION_STRATEGIES}")
@@ -112,7 +112,7 @@ def update_embedding(
         raise ValueError("consensus rows do not match graph rows")
     if consensus_rows.shape[1] != embed_dim:
         raise ValueError("consensus width does not match embed_dim")
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be non-negative")
     stacked = np.hstack([np.sqrt(2.0) * consensus_rows, np.sqrt(beta) * graph.toarray()])
     return trunc_svd_left(stacked, embed_dim, seed=seed).left_vectors

@@ -105,6 +105,19 @@ def test_run_missing_file_reports_stage_and_path(tmp_path):
     assert "no_such_view.rmat" in result.output
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--beta", "-1", "beta"), ("--beta", "nan", "beta"), ("--embed-dim", "0", "embed_dim"),
+     ("--tol", "nan", "rel_tol")],
+)
+def test_run_invalid_config_reports_optimize_stage(dataset_dir, tmp_path, flag, value, field):
+    result = CliRunner().invoke(main, _run_args(dataset_dir, tmp_path, (flag, value)))
+    assert result.exit_code != 0
+    assert f"optimize: {field}" in result.output
+    # a CLI error, not an uncaught exception with a traceback
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_run_with_mask_file(dataset_dir, tmp_path):
     mask_path = tmp_path / "mask.csv"
     CliRunner().invoke(
@@ -192,6 +205,24 @@ def test_sweep_invalid_anchor_values_become_warning_rows(dataset_dir, tmp_path):
     assert by_value["9"]["status"] == "ok"
 
 
+def test_sweep_malformed_values_name_axis_and_token(dataset_dir, tmp_path):
+    result = CliRunner().invoke(
+        main,
+        [
+            "sweep",
+            "--view", str(dataset_dir / "view_0.rmat"),
+            "--labels", str(dataset_dir / "labels.txt"),
+            "--anchors", "9", "--embed-dim", "3", "--clusters", "3",
+            "--out", str(tmp_path), "--axis", "anchors", "--values", "9,1.5", "--repeats", "1",
+        ],
+    )
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert "anchors" in result.output
+    assert "1.5" in result.output
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_requires_labels(dataset_dir, tmp_path):
     result = CliRunner().invoke(
         main,
@@ -231,6 +262,27 @@ def test_ablate_covers_all_four_combinations(dataset_dir, tmp_path, monkeypatch)
     # identical seeds: every row was scored on the same mask and data
     for row in rows:
         assert float(row["acc"]) > 0.0
+
+
+def test_ablate_failing_cells_become_error_rows(dataset_dir, tmp_path):
+    result = CliRunner().invoke(
+        main,
+        [
+            "ablate",
+            "--view", str(dataset_dir / "view_0.rmat"),
+            "--view", str(dataset_dir / "view_1.rmat"),
+            "--labels", str(dataset_dir / "labels.txt"),
+            "--anchors", "500", "--embed-dim", "3", "--clusters", "3",
+            "--out", str(tmp_path),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    with (tmp_path / "ablation.csv").open() as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames[-1] == "status"
+    assert len(rows) == 4
+    assert all(r["status"].startswith("error: anchors:") for r in rows)
 
 
 def test_run_accepts_already_incomplete_views(dataset_dir, tmp_path):

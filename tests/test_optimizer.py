@@ -108,6 +108,14 @@ def test_update_embedding_beta_zero_tracks_consensus():
     assert np.abs(f @ f.T - y_rows @ y_rows.T).max() < 1e-8
 
 
+@pytest.mark.parametrize("beta", [-1.0, float("nan")])
+def test_update_embedding_rejects_negative_or_nan_beta(beta):
+    rng = np.random.default_rng(4)
+    g = random_normalized_graph(rng, 12, 5, 2)
+    with pytest.raises(ValueError, match="beta"):
+        update_embedding(g, rand_orthonormal(rng, 12, 3), beta=beta, embed_dim=3)
+
+
 def test_update_embedding_void_consensus_reduces_to_init():
     rng = np.random.default_rng(5)
     g = random_normalized_graph(rng, 15, 6, 3)
@@ -310,6 +318,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RiseConfig(embed_dim=2, beta=-1.0)
     with pytest.raises(ValueError):
+        RiseConfig(embed_dim=2, beta=float("nan"))
+    with pytest.raises(ValueError):
         RiseConfig(embed_dim=2, rel_tol=0.0)
+    with pytest.raises(ValueError):
+        RiseConfig(embed_dim=2, rel_tol=float("nan"))
     with pytest.raises(ValueError):
         RiseConfig(embed_dim=2, completion="third_order")
