@@ -97,7 +97,7 @@ def _assemble_dataset(manifest: RunManifest, inputs: LoadedInputs) -> MultiViewD
     complete = MultiViewDataset(
         views, [np.arange(n, dtype=np.int64) for _ in views], n, labels=labels
     )
-    if mask is None and manifest.missing_rate is not None and manifest.missing_rate > 0:
+    if mask is None and manifest.missing_rate is not None:
         mask = generate_mask(n, len(views), manifest.missing_rate, manifest.seed)
     # complete view files: the given or generated mask drops the missing rows
     return complete if mask is None else apply_mask(complete, mask)
@@ -112,8 +112,20 @@ def _score(pred: np.ndarray, truth: np.ndarray) -> dict:
 
 
 def run_loaded(manifest: RunManifest, inputs: LoadedInputs) -> tuple[RiseResult, dict | None]:
-    """Stages after loading: mask, anchors, graphs, optimize, metrics."""
+    """Stages after loading: mask, config, anchors, graphs, optimize, metrics."""
     dataset = _stage("mask", _assemble_dataset, manifest, inputs)
+    # an invalid config fails before the costly anchor and graph stages
+    cfg = _stage(
+        "optimize",
+        RiseConfig,
+        embed_dim=manifest.embed_dim,
+        beta=manifest.beta,
+        max_iters=manifest.max_iters,
+        rel_tol=manifest.rel_tol,
+        seed=manifest.seed,
+        completion=manifest.completion,
+        row_normalize=manifest.row_normalize,
+    )
 
     def _anchors():
         return [
@@ -130,20 +142,7 @@ def run_loaded(manifest: RunManifest, inputs: LoadedInputs) -> tuple[RiseResult,
         ]
 
     graphs = _stage("graph", _graphs)
-
-    def _optimize():
-        cfg = RiseConfig(
-            embed_dim=manifest.embed_dim,
-            beta=manifest.beta,
-            max_iters=manifest.max_iters,
-            rel_tol=manifest.rel_tol,
-            seed=manifest.seed,
-            completion=manifest.completion,
-            row_normalize=manifest.row_normalize,
-        )
-        return run_rise(dataset, graphs, cfg, manifest.clusters)
-
-    result = _stage("optimize", _optimize)
+    result = _stage("optimize", run_rise, dataset, graphs, cfg, manifest.clusters)
     scores = None
     if dataset.labels is not None:
         scores = _stage("metrics", _score, result.labels, dataset.labels)

@@ -8,9 +8,10 @@ descending order of eigenvalue.
 ``trunc_svd_left`` never touches the n-by-n product of a tall matrix: it
 eigendecomposes the small d-by-d Gram matrix and maps eigenvectors back
 through the data (U = Z v / sigma), so cost stays linear in the number of
-rows. Columns belonging to near-zero singular values are completed with a
-seeded random orthonormal basis, and every column is sign-canonicalized
-(first non-negligible entry non-negative) for reproducibility.
+rows. Rank-deficient columns are completed from a seeded Gaussian draw,
+one Householder QR orthonormalizes that fill and a lossy Gram route, and
+every column is sign-canonicalized (first non-negligible entry
+non-negative) for reproducibility.
 
 ``squared_distances`` is the one pairwise squared-distance kernel that
 k-means and the anchor graphs share: ||x||^2 - 2 x.c + ||c||^2 from one
@@ -83,22 +84,6 @@ def sym_eigh(matrix: np.ndarray) -> SymEig:
     return SymEig(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
 
-def _fill_orthonormal_column(U: np.ndarray, col: int, filled: np.ndarray, rng) -> None:
-    """Seeded random unit vector orthogonal to all currently filled columns."""
-    n = U.shape[0]
-    basis = U[:, filled]
-    for _ in range(64):
-        v = rng.standard_normal(n)
-        for _ in range(2):  # two projection passes for numerical safety
-            if basis.shape[1]:
-                v -= basis @ (basis.T @ v)
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-6:
-            U[:, col] = v / nrm
-            return
-    raise RuntimeError("failed to draw an orthonormal completion vector")
-
-
 def _canonicalize_signs(U: np.ndarray) -> None:
     for j in range(U.shape[1]):
         col = U[:, j]
@@ -113,8 +98,9 @@ def _canonicalize_signs(U: np.ndarray) -> None:
 def trunc_svd_left(matrix: np.ndarray, k: int, seed: int = 0) -> TruncatedSVD:
     """Top-k left singular vectors and singular values via the Gram matrix.
 
-    For an all-zero input the singular values are zero and the left vectors
-    are a seeded arbitrary orthonormal set (not an error).
+    Columns whose singular value is at most ``RANK_TOL`` times the largest
+    (all of them for an all-zero input) are completed from a Gaussian draw
+    seeded by ``seed``; the result always has orthonormal columns.
     """
     Z = np.asarray(matrix, dtype=np.float64)
     if Z.ndim != 2:
@@ -131,39 +117,14 @@ def trunc_svd_left(matrix: np.ndarray, k: int, seed: int = 0) -> TruncatedSVD:
     sigma = np.sqrt(np.maximum(eig.values, 0.0))
     cutoff = RANK_TOL * sigma[0]
 
-    U = np.zeros((n, k))
-    good = sigma[:k] > cutoff
-    if good.any():
-        Vg = eig.vectors[:, :k][:, good]
-        U[:, good] = Z @ (Vg / sigma[:k][good])
-
-    filled = good.copy()
-    if not filled.all():
-        rng = make_rng(seed)
-        for j in np.flatnonzero(~good):
-            _fill_orthonormal_column(U, j, filled, rng)
-            filled[j] = True
-
-    # the Gram route can lose orthogonality near the rank cutoff; polish if so
-    gram_err = float(np.abs(U.T @ U - np.eye(k)).max())
-    if gram_err > 1e-9:
-        _reorthonormalize(U, make_rng(seed, 1))
-
+    # sigma descends, so the columns above the cutoff form a leading block
+    r = int(np.count_nonzero(sigma[:k] > cutoff))
+    U = Z @ (eig.vectors[:, :r] / sigma[:r])
+    if r < k:
+        U = np.hstack((U, make_rng(seed).standard_normal((n, k - r))))
+    # Householder QR keeps the span of every leading block of columns: the mapped
+    # columns keep span and order, the drawn ones become orthonormal to them
+    if r < k or float(np.abs(U.T @ U - np.eye(k)).max()) > 1e-9:
+        U = np.linalg.qr(U)[0]
     _canonicalize_signs(U)
     return TruncatedSVD(left_vectors=U, singular_values=sigma[:k].copy())
-
-
-def _reorthonormalize(U: np.ndarray, rng) -> None:
-    """In-place modified Gram-Schmidt; spans of leading columns are preserved."""
-    k = U.shape[1]
-    filled = np.zeros(k, dtype=bool)
-    for j in range(k):
-        v = U[:, j]
-        for i in range(j):
-            v -= (U[:, i] @ v) * U[:, i]
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-10:
-            U[:, j] = v / nrm
-        else:
-            _fill_orthonormal_column(U, j, filled, rng)
-        filled[j] = True

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rise.cli
 from rise.cli import main
 from rise.dataset_io import read_labels, read_matrix
 from rise.masking import read_mask
@@ -116,6 +117,29 @@ def test_run_invalid_config_reports_optimize_stage(dataset_dir, tmp_path, flag, 
     assert f"optimize: {field}" in result.output
     # a CLI error, not an uncaught exception with a traceback
     assert isinstance(result.exception, SystemExit)
+
+
+def test_run_invalid_config_fails_before_anchors(dataset_dir, tmp_path, monkeypatch):
+    calls = []
+    real = rise.cli.select_anchors
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rise.cli, "select_anchors", counting)
+    result = CliRunner().invoke(main, _run_args(dataset_dir, tmp_path, ("--beta", "-1")))
+    assert "optimize: beta must be non-negative" in result.output
+    assert calls == []
+
+
+@pytest.mark.parametrize("rate", ["-0.5", "nan"])
+def test_run_rejects_negative_or_nan_missing_rate(dataset_dir, tmp_path, rate):
+    result = CliRunner().invoke(main, _run_args(dataset_dir, tmp_path, ("--missing-rate", rate)))
+    assert result.exit_code != 0
+    assert "mask: missing_rate must lie in [0, 1)" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_run_with_mask_file(dataset_dir, tmp_path):

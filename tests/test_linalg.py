@@ -135,6 +135,48 @@ def test_zero_matrix_completion_is_seeded():
     assert np.abs(u.T @ u - np.eye(2)).max() < 1e-10
 
 
+_X = np.random.default_rng(5).standard_normal((12, 2))
+
+
+# n > k in every case, so the completion is not fixed up to sign and the
+# seed must show in the output; the zero blocks give the Gram matrix exact
+# zero eigenvalues, so completion always runs
+@pytest.mark.parametrize(
+    "z, k, rank",
+    [
+        (np.zeros((6, 3)), 2, 0),
+        (np.hstack([_X, np.zeros((12, 3))]), 4, 2),
+        (np.hstack([_X, _X, np.zeros((12, 2))]), 5, 2),  # duplicate blocks
+        (np.hstack([1e6 * _X[:, :1], np.zeros((12, 3))]), 3, 1),
+    ],
+)
+def test_rank_deficient_completion(z, k, rank):
+    got = trunc_svd_left(z, k, seed=3)
+    u = got.left_vectors
+    scale = float(np.linalg.norm(z))
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-10
+    assert np.linalg.norm(z - u @ (u.T @ z)) <= 1e-10 * scale
+    # the columns past the rank are orthogonal to everything the data spans
+    assert np.abs(z.T @ u[:, rank:]).max() <= 1e-10 * scale
+    again = trunc_svd_left(z, k, seed=3).left_vectors
+    other = trunc_svd_left(z, k, seed=4).left_vectors
+    assert again.tobytes() == u.tobytes()
+    assert other.tobytes() != u.tobytes()
+
+
+def test_near_cutoff_spectrum_stays_orthonormal():
+    # singular values straddling RANK_TOL: the Gram route loses orthogonality
+    # in the third and fourth columns, or drops them below the cutoff
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        s = [1.0, 1e-3, 10 ** rng.uniform(-9.5, -6), 10 ** rng.uniform(-9.9, -8), 0.0, 0.0]
+        z = rng.standard_normal((40, 6)) @ np.diag(s) @ rng.standard_normal((6, 6)).T
+        u = trunc_svd_left(z, 4).left_vectors
+        assert np.abs(u.T @ u - np.eye(4)).max() <= 1e-10
+        ref = np.linalg.svd(z)[0][:, 0]
+        assert min(np.abs(u[:, 0] - ref).max(), np.abs(u[:, 0] + ref).max()) <= 1e-10
+
+
 def test_argument_errors():
     with pytest.raises(ValueError):
         trunc_svd_left(np.ones((3, 2)), 3)
