@@ -14,7 +14,7 @@ from .dataset_io import (
 )
 from .graph import BipartiteGraph, build_bipartite, normalize
 from .kmeans import KMeansResult, kmeans, select_anchors
-from .linalg import SymEig, TruncatedSVD, sym_eigh, trunc_svd_left
+from .linalg import TruncatedSVD, trunc_svd_left
 from .masking import (
     Mask,
     apply_mask,
@@ -46,7 +46,6 @@ __all__ = [
     "MultiViewDataset",
     "RiseConfig",
     "RiseResult",
-    "SymEig",
     "TruncatedSVD",
     "apply_mask",
     "build_bipartite",
@@ -70,7 +69,6 @@ __all__ = [
     "run_rise",
     "scatter",
     "select_anchors",
-    "sym_eigh",
     "trunc_svd_left",
     "update_consensus",
     "update_embedding",

@@ -1,17 +1,15 @@
-"""Dense symmetric eigensolver, Gram-route truncated left SVD and the
-GEMM-form squared distance kernel.
-
-``sym_eigh`` wraps LAPACK's symmetric eigensolver (``np.linalg.eigh``):
-it validates and symmetrizes the input and returns the eigenpairs in
-descending order of eigenvalue.
+"""Gram-route truncated left SVD and the GEMM-form squared distance kernel.
 
 ``trunc_svd_left`` never touches the n-by-n product of a tall matrix: it
-eigendecomposes the small d-by-d Gram matrix and maps eigenvectors back
-through the data (U = Z v / sigma), so cost stays linear in the number of
-rows. Rank-deficient columns are completed from a seeded Gaussian draw,
-one Householder QR orthonormalizes that fill and a lossy Gram route, and
-every column is sign-canonicalized (first non-negligible entry
-non-negative) for reproducibility.
+calls LAPACK's symmetric eigensolver (``np.linalg.eigh``) on the small
+d-by-d Gram matrix and maps eigenvectors back through the data
+(U = Z v / sigma), so cost stays linear in the number of rows. The Gram
+route cannot resolve a singular value below about sqrt(d * eps) times the
+largest, so columns at or under ``2 * sqrt(d * eps) * sigma_1`` count as
+rank-deficient: they are completed from a seeded Gaussian draw, one
+Householder QR orthonormalizes that fill and a lossy Gram route, and every
+column is sign-canonicalized (first non-negligible entry non-negative) for
+reproducibility.
 
 ``squared_distances`` is the one pairwise squared-distance kernel that
 k-means and the anchor graphs share: ||x||^2 - 2 x.c + ||c||^2 from one
@@ -26,14 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import make_rng
-
-RANK_TOL = 1e-10       # relative to the largest singular value
-
-
-@dataclass
-class SymEig:
-    values: np.ndarray   # descending
-    vectors: np.ndarray  # orthonormal columns, vectors[:, j] pairs values[j]
 
 
 @dataclass
@@ -59,31 +49,6 @@ def squared_distances(points: np.ndarray, sq_norms: np.ndarray, others: np.ndarr
     return d2
 
 
-def sym_eigh(matrix: np.ndarray) -> SymEig:
-    """Eigenpairs of a symmetric matrix, sorted by descending eigenvalue.
-
-    The input is symmetrized internally; asymmetry beyond a small relative
-    tolerance is rejected. An all-zero matrix gets the identity as its
-    eigenvectors.
-    """
-    S = np.asarray(matrix, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    if not np.all(np.isfinite(S)):
-        raise ValueError("matrix contains non-finite values")
-    d = S.shape[0]
-    scale = max(1.0, float(np.abs(S).max())) if S.size else 1.0
-    if float(np.abs(S - S.T).max()) > 1e-9 * scale:
-        raise ValueError("matrix is not symmetric")
-
-    A = (S + S.T) / 2.0
-    if not A.any():
-        # eigh's ascending identity, reversed, would be anti-diagonal
-        return SymEig(values=np.zeros(d), vectors=np.eye(d))
-    values, vectors = np.linalg.eigh(A)
-    return SymEig(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
-
-
 def _canonicalize_signs(U: np.ndarray) -> None:
     for j in range(U.shape[1]):
         col = U[:, j]
@@ -98,9 +63,11 @@ def _canonicalize_signs(U: np.ndarray) -> None:
 def trunc_svd_left(matrix: np.ndarray, k: int, seed: int = 0) -> TruncatedSVD:
     """Top-k left singular vectors and singular values via the Gram matrix.
 
-    Columns whose singular value is at most ``RANK_TOL`` times the largest
-    (all of them for an all-zero input) are completed from a Gaussian draw
-    seeded by ``seed``; the result always has orthonormal columns.
+    Columns whose singular value is at most ``2 * sqrt(d * eps)`` times the
+    largest, the floor below which the Gram route sees only rounding (all
+    of them for an all-zero input), are completed from a Gaussian draw
+    seeded by ``seed``; the result always has orthonormal columns. A matrix
+    whose Gram matrix overflows is rejected.
     """
     Z = np.asarray(matrix, dtype=np.float64)
     if Z.ndim != 2:
@@ -113,13 +80,16 @@ def trunc_svd_left(matrix: np.ndarray, k: int, seed: int = 0) -> TruncatedSVD:
     if k > n:
         raise ValueError(f"cannot produce {k} orthonormal columns from {n} rows")
 
-    eig = sym_eigh(Z.T @ Z)
-    sigma = np.sqrt(np.maximum(eig.values, 0.0))
-    cutoff = RANK_TOL * sigma[0]
+    gram = Z.T @ Z
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("Gram matrix contains non-finite values")
+    values, vectors = np.linalg.eigh(gram)
+    sigma = np.sqrt(np.maximum(values[::-1], 0.0))
+    cutoff = 2.0 * np.sqrt(d * np.finfo(np.float64).eps) * sigma[0]
 
     # sigma descends, so the columns above the cutoff form a leading block
     r = int(np.count_nonzero(sigma[:k] > cutoff))
-    U = Z @ (eig.vectors[:, :r] / sigma[:r])
+    U = Z @ (vectors[:, ::-1][:, :r] / sigma[:r])
     if r < k:
         U = np.hstack((U, make_rng(seed).standard_normal((n, k - r))))
     # Householder QR keeps the span of every leading block of columns: the mapped

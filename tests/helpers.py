@@ -26,6 +26,13 @@ def random_index_vectors(rng: np.random.Generator, n: int, n_views: int, missing
     return mask_to_index_vectors(mask)
 
 
+def dense_graph(g: BipartiteGraph) -> np.ndarray:
+    """Dense (rows, n_anchors) graph assembled from its (indices, weights) pairs."""
+    dense = np.zeros((g.rows, g.n_anchors))
+    np.add.at(dense, (np.arange(g.rows)[:, None], g.indices), g.weights)
+    return dense
+
+
 def dense_scatter_outer(embeddings, index_vectors, n: int) -> np.ndarray:
     """Sum over views of the zero-padded embedding outer products (n x n)."""
     total = np.zeros((n, n))
@@ -44,6 +51,33 @@ def dense_objective(consensus, embeddings, graphs, index_vectors, beta: float) -
         placed = scatter(emb, idx, n)
         diff = yyt - placed @ placed.T
         total += float((diff * diff).sum())
-        dense_b = g.toarray()
+        dense_b = dense_graph(g)
         total -= beta * float(np.trace(emb.T @ dense_b @ dense_b.T @ emb))
     return total
+
+
+def _top_eigenvectors(matrix: np.ndarray, k: int) -> np.ndarray:
+    return np.linalg.eigh(matrix)[1][:, ::-1][:, :k]
+
+
+def dense_rise_reference(embeddings, graphs, index_vectors, n: int, beta: float, iters: int):
+    """The RISE alternation on dense matrices, for differential tests.
+
+    The consensus is the top-k eigenvectors of the n x n scatter-outer sum,
+    and each view embedding the top-k eigenvectors of
+    2 Y_v Y_v^T + beta B_v B_v^T, with B_v assembled from the graph's
+    (indices, weights). Starting from ``embeddings``, it runs ``iters``
+    iterations and returns the literal objective after each one and the
+    final consensus.
+    """
+    k = embeddings[0].shape[1]
+    dense_b = [dense_graph(g) for g in graphs]
+    trace = []
+    for _ in range(iters):
+        y = _top_eigenvectors(dense_scatter_outer(embeddings, index_vectors, n), k)
+        embeddings = [
+            _top_eigenvectors(2.0 * y[h] @ y[h].T + beta * b @ b.T, k)
+            for b, h in zip(dense_b, index_vectors)
+        ]
+        trace.append(dense_objective(y, embeddings, graphs, index_vectors, beta))
+    return trace, y

@@ -1,63 +1,8 @@
 import numpy as np
 import pytest
 
-from rise.linalg import sym_eigh, trunc_svd_left
-
-
-def test_diagonal_matrix():
-    got = sym_eigh(np.diag([2.0, 1.0]))
-    assert np.allclose(got.values, [2.0, 1.0])
-    assert np.allclose(np.abs(got.vectors), np.eye(2))
-
-
-def test_two_by_two_exchange():
-    got = sym_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(got.values, [1.0, -1.0])
-    assert np.allclose(np.abs(got.vectors), np.full((2, 2), 2**-0.5))
-
-
-def test_identity_degenerate_spectrum():
-    got = sym_eigh(np.eye(4))
-    assert np.allclose(got.values, 1.0)
-    rec = got.vectors @ np.diag(got.values) @ got.vectors.T
-    assert np.allclose(rec, np.eye(4))
-
-
-def test_one_by_one_and_zero():
-    got = sym_eigh(np.array([[3.5]]))
-    assert got.values[0] == 3.5
-    got = sym_eigh(np.zeros((3, 3)))
-    assert np.allclose(got.values, 0.0)
-    assert np.allclose(got.vectors, np.eye(3))
-
-
-def test_against_numpy_on_random_matrices():
-    rng = np.random.default_rng(0)
-    for trial in range(30):
-        d = int(rng.integers(2, 50))
-        base = rng.standard_normal((d, d))
-        s = (base + base.T) / 2
-        if trial % 3 == 0:
-            # clustered spectrum: harder case for rotation ordering
-            vals = np.repeat(rng.standard_normal((d + 2) // 3), 3)[:d]
-            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
-            s = q @ np.diag(vals) @ q.T
-            s = (s + s.T) / 2
-        got = sym_eigh(s)
-        ref = np.linalg.eigvalsh(s)[::-1]
-        assert np.allclose(got.values, ref, atol=1e-9 * max(1, np.abs(s).max()))
-        assert np.abs(got.vectors.T @ got.vectors - np.eye(d)).max() < 1e-10
-        rec = got.vectors @ np.diag(got.values) @ got.vectors.T
-        assert np.abs(rec - s).max() < 1e-8 * max(1, np.abs(s).max())
-
-
-def test_input_validation():
-    with pytest.raises(ValueError):
-        sym_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        sym_eigh(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        sym_eigh(np.zeros((2, 3)))
+from helpers import rand_orthonormal
+from rise.linalg import trunc_svd_left
 
 
 def test_axis_aligned_truncation():
@@ -151,8 +96,11 @@ _X = np.random.default_rng(5).standard_normal((12, 2))
     ],
 )
 def test_rank_deficient_completion(z, k, rank):
-    got = trunc_svd_left(z, k, seed=3)
-    u = got.left_vectors
+    _assert_seeded_fill(z, k, rank)
+
+
+def _assert_seeded_fill(z, k, rank):
+    u = trunc_svd_left(z, k, seed=3).left_vectors
     scale = float(np.linalg.norm(z))
     assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-10
     assert np.linalg.norm(z - u @ (u.T @ z)) <= 1e-10 * scale
@@ -164,9 +112,34 @@ def test_rank_deficient_completion(z, k, rank):
     assert other.tobytes() != u.tobytes()
 
 
+# A(n x r) B(r x d) diag(scales) has rank r < k by construction; its null
+# directions sit at the Gram route's rounding floor, so only a cutoff set at
+# that floor sends every one of them to the seeded fill
+@pytest.mark.parametrize("n, d, r, k", [(30, 8, 3, 6), (12, 6, 1, 4), (50, 12, 2, 5), (200, 40, 9, 10)])
+def test_rank_deficient_products_always_fill(n, d, r, k):
+    for case in range(20):
+        rng = np.random.default_rng(case)
+        z = rng.standard_normal((n, r)) @ rng.standard_normal((r, d)) * 10 ** rng.uniform(-3, 3, d)
+        s_ref = np.linalg.svd(z, compute_uv=False)
+        assert s_ref[r] <= 1e-12 * s_ref[0]
+        _assert_seeded_fill(z, k, r)
+
+
+@pytest.mark.parametrize("n, d, k", [(30, 8, 6), (12, 6, 6), (200, 40, 10)])
+def test_full_rank_output_does_not_depend_on_seed(n, d, k):
+    # sigma_k / sigma_1 >= 1e-6 stays above the cutoff: no column is drawn
+    for case in range(20):
+        rng = np.random.default_rng(case)
+        s = 10 ** rng.uniform(-3, 3) * np.logspace(0, -6, d)
+        z = (rand_orthonormal(rng, n, d) * s) @ rand_orthonormal(rng, d, d).T
+        got = trunc_svd_left(z, k, seed=3)
+        assert np.allclose(got.singular_values, np.linalg.svd(z, compute_uv=False)[:k], rtol=1e-3, atol=0)
+        assert trunc_svd_left(z, k, seed=4).left_vectors.tobytes() == got.left_vectors.tobytes()
+
+
 def test_near_cutoff_spectrum_stays_orthonormal():
-    # singular values straddling RANK_TOL: the Gram route loses orthogonality
-    # in the third and fourth columns, or drops them below the cutoff
+    # singular values straddling the 2*sqrt(d*eps) cutoff: the Gram route loses
+    # orthogonality in the third and fourth columns, or drops them below it
     for seed in range(50):
         rng = np.random.default_rng(seed)
         s = [1.0, 1e-3, 10 ** rng.uniform(-9.5, -6), 10 ** rng.uniform(-9.9, -8), 0.0, 0.0]
@@ -184,6 +157,9 @@ def test_argument_errors():
         trunc_svd_left(np.ones((2, 3)), 3)  # k exceeds row count
     with pytest.raises(ValueError):
         trunc_svd_left(np.array([[np.inf, 0.0]]), 1)
+    # finite entries whose Gram matrix overflows: numpy warns, then the check raises
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError):
+        trunc_svd_left(np.full((4, 2), 1e200), 1)
 
 
 def test_concatenated_block_equivalence_small():

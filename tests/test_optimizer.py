@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     dense_objective,
+    dense_rise_reference,
     dense_scatter_outer,
     rand_orthonormal,
     random_index_vectors,
@@ -247,6 +248,25 @@ def test_run_rise_deterministic():
     assert np.array_equal(a.consensus, b.consensus)
 
 
+def test_run_rise_matches_dense_reference():
+    data, _ = generate_blobs(BlobConfig(
+        n=300, clusters=4, views=3, latent_dim=4, view_dims=(6, 5, 4), seed=21,
+    ))
+    dataset = apply_mask(data, generate_mask(300, 3, 0.4, 21))
+    graphs = [
+        normalize(build_bipartite(view, select_anchors(view, "random", 20, 21 + i), 5))
+        for i, view in enumerate(dataset.views)
+    ]
+    # rel_tol this small never stops the loop early
+    cfg = RiseConfig(embed_dim=4, beta=2.0, max_iters=5, rel_tol=1e-300, seed=21)
+    result = run_rise(dataset, graphs, cfg, 4)
+    start = init_embeddings(graphs, cfg.embed_dim, seed=cfg.seed)
+    trace, y = dense_rise_reference(start, graphs, dataset.index_vectors, dataset.n_total, cfg.beta, 5)
+    assert result.iterations == 5
+    assert np.abs(np.array(result.objective_trace) - trace).max() <= 1e-8
+    assert np.abs(result.consensus @ result.consensus.T - y @ y.T).max() <= 1e-8
+
+
 def test_state_invariants_across_manual_iterations():
     rng = np.random.default_rng(11)
     n, v, k = 40, 3, 3
@@ -295,6 +315,19 @@ def test_first_order_sign_flip_cancels_to_zero():
     f = rand_orthonormal(rng, 10, 2)
     y = first_order_consensus([f, -f], [np.arange(10), np.arange(10)], 10)
     assert np.abs(y).max() == 0.0
+
+
+def test_first_order_middle_cancellation_keeps_span():
+    # views [a, b, c] and [a, -b, c] average to [a, 0, c]; a QR that zeroed its
+    # small-R_jj columns would drop part of c along with the cancelled b
+    rng = np.random.default_rng(15)
+    f = rand_orthonormal(rng, 20, 3)
+    y = first_order_consensus([f, f * [1.0, -1.0, 1.0]], [np.arange(20), np.arange(20)], 20)
+    assert np.abs(y[:, 1]).max() == 0.0
+    kept = y[:, [0, 2]]
+    assert np.abs(kept.T @ kept - np.eye(2)).max() < 1e-12
+    avg = f * [1.0, 0.0, 1.0]
+    assert np.linalg.norm(avg - y @ (y.T @ avg)) <= 1e-12 * np.linalg.norm(avg)
 
 
 def test_first_order_disjoint_coverage_averages_rows():
